@@ -71,6 +71,13 @@ if [[ $quick -eq 0 ]]; then
   echo "== cargo test --profile checked (fault-inject) =="
   cargo test --offline --workspace -q --profile checked --features fault-inject
 
+  # perfbench is a Cargo workspace of its own, so the workspace lanes
+  # above never build it — yet it calls fsi_measurement_set and
+  # wrap::wrap_flops. Its own tests keep that API contract compiled and
+  # exercised.
+  echo "== cargo test (perfbench workspace) =="
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
   # Non-gating: record kernel throughput (results/BENCH_kernels.json is
   # informational; timing noise must never fail the gate).
   echo "== bench smoke (non-gating) =="

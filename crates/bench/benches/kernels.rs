@@ -125,22 +125,6 @@ fn bench_ormqr(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_solve_right(c: &mut Criterion) {
-    // The wrap step-right primitive: X = G·B⁻¹.
-    let mut g = c.benchmark_group("lu_solve_right");
-    for n in [64usize, 128, 256] {
-        let mut b = test_matrix(n, n, 7);
-        b.add_diag(n as f64);
-        let f = getrf(b).expect("nonsingular");
-        let rhs = test_matrix(n, n, 8);
-        g.throughput(Throughput::Elements(2 * counts::trsm(n, n)));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| std::hint::black_box(f.solve_right(&rhs)));
-        });
-    }
-    g.finish();
-}
-
 fn bench_expm(c: &mut Criterion) {
     let mut g = c.benchmark_group("expm");
     for n in [16usize, 36, 64] {
@@ -186,7 +170,6 @@ criterion_group!(
     bench_getrf,
     bench_geqrf_panel,
     bench_ormqr,
-    bench_solve_right,
     bench_expm,
     bench_invert_upper
 );

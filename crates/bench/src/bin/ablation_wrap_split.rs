@@ -14,8 +14,8 @@
 use fsi_bench::{banner, Args};
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, Spin, SquareLattice};
 use fsi_runtime::Par;
-use fsi_selinv::wrap::{step_down, step_up, BlockFactors};
-use fsi_selinv::{bsofi, cls};
+use fsi_selinv::wrap::{step_down, step_up};
+use fsi_selinv::{bsofi, cls, BlockInverses};
 use rand::SeedableRng;
 
 fn main() {
@@ -47,7 +47,8 @@ fn main() {
     let clustered = cls(Par::Seq, Par::Seq, &pc, c, q);
     let g_red = bsofi(Par::Seq, Par::Seq, &clustered.reduced);
     let g_ref = pc.reference_green(Par::Seq);
-    let factors = BlockFactors::new(&pc);
+    let inv =
+        BlockInverses::new(Par::Seq, &pc, 0..l).expect("Hubbard blocks have analytic inverses");
     let b = clustered.b();
 
     // For every seed column, walk both ways and record the worst error at
@@ -67,7 +68,7 @@ fn main() {
             let mut cur = seed.clone();
             let mut row = k;
             for d in 1..=up_steps {
-                cur = step_up(&pc, &factors, &cur, row, col);
+                cur = step_up(&inv, &cur, row, col);
                 row = pc.up(row);
                 let want = pc.dense_block(&g_ref, row, col);
                 split_err[d] = split_err[d].max(fsi_dense::rel_error(&cur, &want));
@@ -112,8 +113,8 @@ fn main() {
     println!("split indeed halves the walk distance. In this reproduction, however, the two");
     println!("directions are not symmetric: the DOWN relation (multiply by B) is forward-");
     println!("stable — its relative error stays flat with distance — while the UP relation");
-    println!("(solve with B) amplifies by cond(B) per step at low temperature. A down-only");
-    println!("walk is then both cheaper (GEMM vs LU solve) and more accurate. The library");
-    println!("keeps the paper-faithful split as the default; EXPERIMENTS.md records this");
-    println!("deviation.");
+    println!("(multiply by the analytic B^-1) amplifies by cond(B) per step at low");
+    println!("temperature. Both steps are one GEMM, so a down-only walk costs the same and");
+    println!("is more accurate. The library keeps the paper-faithful split as the default;");
+    println!("EXPERIMENTS.md records this deviation.");
 }

@@ -9,10 +9,11 @@
 //! accounting*: the span collector's measured per-stage flops are
 //! compared against the analytic models in `fsi_selinv::flops` —
 //! CLS must match `cls_flops` exactly (the stage is literally `b` chains
-//! of `c−1` N×N GEMMs), while BSOFI and WRP are asserted within a
-//! bookkeeping tolerance of their (approximate) closed forms. A silently
-//! unaccounted kernel would push a measured count below the analytic
-//! lower bound and fail the run.
+//! of `c−1` N×N GEMMs), WRP must match `wrap_gemm_flops` exactly (`b²`
+//! seeds × `c−1` steps of one N×N GEMM each, against the analytic `B⁻¹`),
+//! while BSOFI is asserted within a bookkeeping tolerance of its
+//! approximate closed form. A silently unaccounted kernel would push a
+//! measured count below the analytic lower bound and fail the run.
 //!
 //! Default: `(N, L, c) = (36, 32, 8)` — finishes in seconds; the full
 //! paper shape runs with `--paper-scale` (`N = 100` → 10×10 lattice,
@@ -140,12 +141,16 @@ fn main() {
         0.3,
         2.0,
     );
-    let wrap_ok = check_ratio(
-        "wrap",
-        report.flops_of("wrap"),
-        fsi_selinv::wrap::wrap_flops(n, l, c),
-        0.5,
-        1.5,
+    // WRP is exact too: every step is one N×N GEMM, `2(bL − b²)N³` in
+    // all — the paper's `3(bL − b²)N³` model (ratio 2/3) prices each step
+    // as a product plus an inverse application.
+    let wrap_measured = report.flops_of("wrap");
+    let wrap_analytic = fsi_selinv::wrap::wrap_gemm_flops(n, l, c);
+    let wrap_ok = wrap_measured == wrap_analytic;
+    println!(
+        "  wrap   measured {wrap_measured:>14}  analytic {wrap_analytic:>14}  {}  (paper model ratio {:.4})",
+        if wrap_ok { "exact" } else { "MISMATCH" },
+        wrap_measured as f64 / fsi_selinv::wrap::wrap_flops(n, l, c) as f64
     );
 
     let pass = mean < 1e-10 && cls_ok && bsofi_ok && wrap_ok;
@@ -206,6 +211,7 @@ fn main() {
                 ("max_error".into(), trace::Json::Num(max)),
                 ("passed".into(), trace::Json::Bool(pass)),
                 ("cls_flops_exact".into(), trace::Json::Bool(cls_ok)),
+                ("wrap_flops_exact".into(), trace::Json::Bool(wrap_ok)),
             ]),
         ),
         ("stages".into(), trace::Json::Arr(stages)),

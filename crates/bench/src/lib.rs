@@ -211,32 +211,31 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
     // more) independent chunks, so model them as b uniform tasks.
     let bsofi_tasks = vec![bsofi_bc / b as f64; b];
 
-    // --- WRP: time each seed walk. ---
+    // --- WRP: build the block inverses, then time each seed walk. ---
+    let up_steps = c / 2;
+    let down_steps = (c - 1) - up_steps;
+    let inv = fsi_selinv::BlockInverses::new(Par::Seq, pc, 0..pc.l())
+        .expect("trace_fsi needs nonsingular blocks");
     let mut wrap_tasks = Vec::with_capacity(b * b);
-    {
-        let factors = fsi_selinv::BlockFactors::new(pc);
-        let up_steps = c / 2;
-        let down_steps = (c - 1) - up_steps;
-        for s in 0..b * b {
-            let (k0, l0) = (s / b, s % b);
-            let k = clustered.to_original(k0);
-            let l = clustered.to_original(l0);
-            let sw = Stopwatch::start();
-            let g_seed = clustered.reduced.dense_block(&g_reduced, k0, l0);
-            let mut cur = g_seed.clone();
-            let mut row = k;
-            for _ in 0..up_steps {
-                cur = fsi_selinv::wrap::step_up(pc, &factors, &cur, row, l);
-                row = pc.up(row);
-            }
-            let mut cur = g_seed;
-            let mut row = k;
-            for _ in 0..down_steps {
-                cur = fsi_selinv::wrap::step_down(pc, &cur, row, l);
-                row = pc.down(row);
-            }
-            wrap_tasks.push(sw.seconds());
+    for s in 0..b * b {
+        let (k0, l0) = (s / b, s % b);
+        let k = clustered.to_original(k0);
+        let l = clustered.to_original(l0);
+        let sw = Stopwatch::start();
+        let g_seed = clustered.reduced.dense_block(&g_reduced, k0, l0);
+        let mut cur = g_seed.clone();
+        let mut row = k;
+        for _ in 0..up_steps {
+            cur = fsi_selinv::wrap::step_up(&inv, &cur, row, l);
+            row = pc.up(row);
         }
+        let mut cur = g_seed;
+        let mut row = k;
+        for _ in 0..down_steps {
+            cur = fsi_selinv::wrap::step_down(pc, &cur, row, l);
+            row = pc.down(row);
+        }
+        wrap_tasks.push(sw.seconds());
     }
     let seq_seconds = sw_total.seconds();
 
@@ -266,9 +265,8 @@ pub fn trace_fsi(pc: &BlockPCyclic, selection: &Selection) -> FsiTraces {
     let bc_chunked = bsofi_bc;
     mkl.push_region(vec![bc_chunked / chunks as f64; chunks], 0.0);
     for t in &wrap_tasks {
-        // Each wrap step is one gemm or one solve; solves have a serial
-        // triangular part.
-        mkl.push_region(vec![0.7 * t / chunks as f64; chunks], 0.3 * t);
+        // Each wrap step is one gemm, which forks whole.
+        mkl.push_region(vec![t / chunks as f64; chunks], 0.0);
     }
 
     FsiTraces {

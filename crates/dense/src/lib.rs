@@ -17,8 +17,7 @@
 //! * [`batch`] — [`gemm_batched`], the batched-strided small-matrix
 //!   engine for the CLS/multi-driver hot shape (shared operands packed
 //!   once, no-pack direct path, store-mode writeback);
-//! * [`lu`] — blocked LU with partial pivoting, solves (including the
-//!   right-inverse applications the wrapping stage needs), explicit
+//! * [`lu`] — blocked LU with partial pivoting, solves, explicit
 //!   inversion and determinants;
 //! * [`qr`] — Householder QR with compact-WY blocked application of `Q`,
 //!   the engine of BSOFI;

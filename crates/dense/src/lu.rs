@@ -9,9 +9,10 @@
 //!
 //! In the reproduction these routines play two roles: they are the
 //! "Intel MKL DGETRF/DGETRI" stand-in for the *full inversion baseline* the
-//! paper validates against (§V-A), and they provide the `B_k⁻¹` applications
-//! inside the wrapping stage (relations (4) and (7) multiply by an inverse,
-//! which we realize as a reused factorization plus solves).
+//! paper validates against (§V-A), and they form the explicit `B_k⁻¹` of a
+//! generic (non-Hubbard) block that the wrapping stage's relations (4) and
+//! (7) multiply by — Hubbard blocks have an analytic inverse and never
+//! reach this module there.
 
 use crate::error::{DenseError, Result};
 use crate::gemm::gemm;
@@ -214,38 +215,6 @@ impl LuFactor {
         }
     }
 
-    /// Solves from the right in place: `B := B·A⁻¹` (i.e. solves
-    /// `X·A = B`).
-    ///
-    /// With `P·A = L·U` (so `A = Pᵀ·L·U`): `X·Pᵀ·L·U = B` is solved by two
-    /// right-side triangular solves followed by the column permutation
-    /// `X = Y·P` — entirely transpose-free and GEMM-rich, which keeps the
-    /// wrapping relation `G(k,ℓ+1) = G(k,ℓ)·B⁻¹` at level-3 speed.
-    pub fn solve_right_in_place(&self, mut b: MatMut<'_>) {
-        assert_eq!(b.cols(), self.n(), "solve_right: rhs column count mismatch");
-        tri::solve_upper_right(self.lu.as_ref(), b.rb_mut());
-        tri::solve_unit_lower_right(self.lu.as_ref(), b.rb_mut());
-        // X = Y·P = Y·P_{n−1}⋯P_0: apply the column swaps in reverse.
-        for k in (0..self.n()).rev() {
-            let p = self.piv[k];
-            if p != k {
-                for r in 0..b.rows() {
-                    let tmp = b.at(r, k);
-                    let v = b.at(r, p);
-                    b.set(r, k, v);
-                    b.set(r, p, tmp);
-                }
-            }
-        }
-    }
-
-    /// Solves from the right: returns `X = B·A⁻¹` (i.e. `X·A = B`).
-    pub fn solve_right(&self, b: &Matrix) -> Matrix {
-        let mut x = b.clone();
-        self.solve_right_in_place(x.as_mut());
-        x
-    }
-
     /// Explicit inverse `A⁻¹` (GETRI-style, via solves against the
     /// identity).
     pub fn inverse(&self) -> Matrix {
@@ -367,18 +336,6 @@ mod tests {
         let mut x = b.clone();
         f.solve_transpose_in_place(x.as_mut());
         let mut r = mul(&a.transpose(), &x);
-        r.sub_assign(&b);
-        assert!(r.max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn solve_right_multiplies_by_inverse() {
-        let n = 30;
-        let a = well_conditioned(n, 7);
-        let b = test_matrix(4, n, 8); // note: B is 4×n, X = B·A⁻¹ is 4×n
-        let f = getrf(a.clone()).unwrap();
-        let x = f.solve_right(&b);
-        let mut r = mul(&x, &a);
         r.sub_assign(&b);
         assert!(r.max_abs() < 1e-10);
     }

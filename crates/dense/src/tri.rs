@@ -18,8 +18,7 @@ use fsi_runtime::{flops, workspace, Par};
 
 /// Diagonal-block size of the blocked substitutions: each `TB × TB`
 /// triangle is solved with the scalar kernel, and the off-diagonal
-/// updates flow through GEMM (level-3), which is what keeps the wrapping
-/// stage of FSI at DGEMM-like rates.
+/// updates flow through GEMM (level-3).
 const TB: usize = 48;
 
 /// Solves `L·X = B` in place (`B := L⁻¹B`) with `L` unit lower triangular.
@@ -207,102 +206,6 @@ fn solve_upper_trans_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
 /// textbook n²·nrhs).
 fn gemm_raw(a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     crate::gemm::gemm(Par::Seq, -1.0, a, b, 1.0, c);
-}
-
-/// Solves `X·U = B` in place (`B := B·U⁻¹`) with `U` upper triangular
-/// (non-unit). Right-side solves keep the wrapping relation
-/// `G(k,ℓ+1) = G(k,ℓ)·B⁻¹` transpose-free and GEMM-rich.
-///
-/// # Panics
-/// Panics on shape mismatch or an exactly zero diagonal entry.
-pub fn solve_upper_right(u: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = check_square(u, b.cols());
-    let _kernel = fsi_runtime::trace::kernel_span("trsm");
-    let nrhs = b.rows();
-    // Column blocks left-to-right: solve X[:, j0..j1]·U[j0..j1, j0..j1] =
-    // B[:, j0..j1] − X[:, ..j0]·U[..j0, j0..j1].
-    let mut j0 = 0;
-    while j0 < n {
-        let tb = TB.min(n - j0);
-        if j0 > 0 {
-            let above = u.submatrix(0, j0, j0, tb);
-            let (solved, rest) = b.rb_mut().split_at_col(j0);
-            let target = rest.submatrix(0, 0, nrhs, tb);
-            gemm_raw(solved.as_ref(), above, target);
-        }
-        solve_upper_right_unblocked(
-            u.submatrix(j0, j0, tb, tb),
-            b.rb_mut().submatrix(0, j0, nrhs, tb),
-        );
-        j0 += tb;
-    }
-}
-
-fn solve_upper_right_unblocked(u: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = u.cols();
-    flops::add_flops(flops::counts::trsm(n, b.rows()));
-    for j in 0..n {
-        let ujj = u.at(j, j);
-        assert!(ujj != 0.0, "singular upper triangle at {j}");
-        // X[:, j] = (B[:, j] − Σ_{p<j} X[:, p]·U[p, j]) / U[j, j]
-        for p in 0..j {
-            let upj = u.at(p, j);
-            if upj != 0.0 {
-                let (left, mut rest) = b.rb_mut().split_at_col(j);
-                axpy(-upj, left.as_ref().col(p), rest.col_mut(0));
-            }
-        }
-        let inv = 1.0 / ujj;
-        for x in b.col_mut(j) {
-            *x *= inv;
-        }
-    }
-}
-
-/// Solves `X·L = B` in place (`B := B·L⁻¹`) with `L` unit lower
-/// triangular.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn solve_unit_lower_right(l: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = check_square(l, b.cols());
-    let _kernel = fsi_runtime::trace::kernel_span("trsm");
-    let nrhs = b.rows();
-    // Column blocks right-to-left: X[:, j0..j1] = B[:, j0..j1] −
-    // X[:, j1..]·L[j1.., j0..j1], then the diagonal triangle.
-    let mut j1 = n;
-    while j1 > 0 {
-        let tb = TB.min(j1);
-        let j0 = j1 - tb;
-        if j1 < n {
-            let below = l.submatrix(j1, j0, n - j1, tb);
-            let (left, solved) = b.rb_mut().split_at_col(j1);
-            let target = left.submatrix(0, j0, nrhs, tb);
-            gemm_raw(solved.as_ref(), below, target);
-        }
-        solve_unit_lower_right_unblocked(
-            l.submatrix(j0, j0, tb, tb),
-            b.rb_mut().submatrix(0, j0, nrhs, tb),
-        );
-        j1 = j0;
-    }
-}
-
-fn solve_unit_lower_right_unblocked(l: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = l.cols();
-    flops::add_flops(flops::counts::trsm(n, b.rows()));
-    // X[:, j] = B[:, j] − Σ_{p>j} X[:, p]·L[p, j], solved right-to-left.
-    for j in (0..n).rev() {
-        for p in j + 1..n {
-            let lpj = l.at(p, j);
-            if lpj != 0.0 {
-                let (mut left, right) = b.rb_mut().split_at_col(p);
-                let rows = left.rows();
-                let mut target = left.rb_mut().submatrix(0, j, rows, 1);
-                axpy(-lpj, right.as_ref().col(0), target.col_mut(0));
-            }
-        }
-    }
 }
 
 /// In-place inversion of an upper triangle (entries below the diagonal are
@@ -573,36 +476,6 @@ mod tests {
         let b = Matrix::zeros(3, 1);
         let mut x = b.clone();
         solve_upper(u.as_ref(), x.as_mut());
-    }
-
-    #[test]
-    fn right_solves_give_small_residuals() {
-        // X·U = B.
-        let u = upper(70, 21);
-        let b = test_matrix(5, 70, 22);
-        let mut x = b.clone();
-        solve_upper_right(u.as_ref(), x.as_mut());
-        assert!(residual(&x, &u, &b) < 1e-11, "XU residual");
-        // X·L = B with unit lower L.
-        let l = unit_lower(70, 23);
-        let mut x = b.clone();
-        solve_unit_lower_right(l.as_ref(), x.as_mut());
-        assert!(residual(&x, &l, &b) < 1e-11, "XL residual");
-    }
-
-    #[test]
-    fn right_solve_matches_left_solve_of_transpose() {
-        let u = upper(33, 24);
-        let b = test_matrix(4, 33, 25);
-        let mut x_right = b.clone();
-        solve_upper_right(u.as_ref(), x_right.as_mut());
-        // Xᵀ solves Uᵀ·Xᵀ = Bᵀ.
-        let mut xt = b.transpose();
-        solve_upper_trans(u.as_ref(), xt.as_mut());
-        let x_want = xt.transpose();
-        let mut d = x_right.clone();
-        d.sub_assign(&x_want);
-        assert!(d.max_abs() < 1e-12);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! matrix exponential and shared by all slices, spins and Monte Carlo
 //! sweeps.
 
+use std::sync::Arc;
+
 use fsi_dense::{expm, Matrix};
 use rand::Rng;
 
@@ -166,6 +168,36 @@ impl HsField {
     }
 }
 
+/// The factors of a Hubbard matrix's analytic block inverses
+/// `b[k]⁻¹ = diag(e^{x_k})·e^{−tΔτK}` with `x_k = −σν·h(k, ·)`: the
+/// builder's shared `e^{−tΔτK}` plus `O(L·N)` row exponents. A
+/// `BlockPCyclic` built by `hubbard_pcyclic` carries them so the wrapping stage can form each `b[k]⁻¹` in `O(N²)` instead
+/// of factoring the block.
+#[derive(Clone, Debug)]
+pub(crate) struct InverseFactors {
+    kinetic_inv: Arc<Matrix>,
+    /// `x_k` for every slice, slice-major (`L × N`).
+    exponents: Vec<f64>,
+}
+
+impl InverseFactors {
+    /// The analytic inverse of block `k`.
+    pub(crate) fn inverse(&self, k: usize) -> Matrix {
+        let n = self.kinetic_inv.rows();
+        analytic_inverse(&self.kinetic_inv, &self.exponents[k * n..(k + 1) * n])
+    }
+}
+
+/// `diag(e^{x})·K⁻¹` — the one implementation of the analytic Hubbard
+/// block inverse, shared by [`BlockBuilder::block_inverse`] and
+/// `InverseFactors::inverse`: a clone plus `N` exponentials and one row
+/// scaling, `O(N²)`.
+fn analytic_inverse(kinetic_inv: &Matrix, exponents: &[f64]) -> Matrix {
+    let mut out = kinetic_inv.clone();
+    fsi_dense::expm::scale_rows_exp(&mut out, 1.0, exponents);
+    out
+}
+
 /// Prebuilt slice-independent factors for assembling `B_ℓ^σ` blocks.
 ///
 /// Holds `e^{tΔτK}` and its exact inverse `e^{−tΔτK}`, so that
@@ -178,7 +210,7 @@ pub struct BlockBuilder {
     params: HubbardParams,
     nu: f64,
     exp_k: Matrix,
-    exp_k_inv: Matrix,
+    exp_k_inv: Arc<Matrix>,
     cb: Option<Checkerboard>,
 }
 
@@ -197,7 +229,7 @@ impl BlockBuilder {
             params,
             nu,
             exp_k,
-            exp_k_inv,
+            exp_k_inv: Arc::new(exp_k_inv),
             cb: None,
         }
     }
@@ -219,7 +251,7 @@ impl BlockBuilder {
             params,
             nu,
             exp_k,
-            exp_k_inv,
+            exp_k_inv: Arc::new(exp_k_inv),
             cb: Some(cb),
         }
     }
@@ -265,11 +297,24 @@ impl BlockBuilder {
 
     /// Builds the exact inverse `B_ℓ^σ⁻¹ = diag(e^{−σν h(ℓ,·)})·e^{−tΔτK}`.
     pub fn block_inverse(&self, field: &HsField, l: usize, spin: Spin) -> Matrix {
-        let d = field.row(l);
+        analytic_inverse(&self.exp_k_inv, &self.inverse_exponents(field, l, spin))
+    }
+
+    /// The row exponents `−σν·h(ℓ, ·)` of `B_ℓ^σ⁻¹`.
+    fn inverse_exponents(&self, field: &HsField, l: usize, spin: Spin) -> Vec<f64> {
         let alpha = -spin.sign() * self.nu;
-        let mut out = self.exp_k_inv.clone();
-        fsi_dense::expm::scale_rows_exp(&mut out, alpha, &d);
-        out
+        field.row(l).iter().map(|&h| alpha * h).collect()
+    }
+
+    /// The analytic-inverse factors of every block of one spin (what
+    /// `hubbard_pcyclic` attaches to the matrix it builds).
+    pub(crate) fn inverse_factors(&self, field: &HsField, spin: Spin) -> InverseFactors {
+        InverseFactors {
+            kinetic_inv: Arc::clone(&self.exp_k_inv),
+            exponents: (0..field.slices())
+                .flat_map(|l| self.inverse_exponents(field, l, spin))
+                .collect(),
+        }
     }
 
     /// Builds all `L` blocks for one spin (the input to a p-cyclic matrix).

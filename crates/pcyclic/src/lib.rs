@@ -10,7 +10,8 @@
 //!   and the [`hubbard::BlockBuilder`] assembling
 //!   `B_ℓ^σ = e^{tΔτK}·e^{σνV_ℓ(h)}` (with exact analytic inverses);
 //! * [`pcyclic`] — the [`BlockPCyclic`] normal-form matrix `M` of Eq. (1),
-//!   its dense assembly, and the LU reference inverse;
+//!   its dense assembly, the LU reference inverse, and per-block inverses
+//!   (analytic for Hubbard matrices);
 //! * [`green`] — the explicit Green's-function expression of Eq. (3)
 //!   (the baseline FSI is compared against, and the test oracle for all
 //!   structured algorithms);
@@ -38,8 +39,13 @@ pub use pcyclic::{random_pcyclic, BlockPCyclic};
 
 /// Builds the spin-σ Hubbard matrix `M^σ(h)` for a field configuration —
 /// the top-level constructor used throughout the examples and benches.
+/// The matrix carries its blocks' analytic inverse factors, so
+/// [`BlockPCyclic::block_inverse`] costs `O(N²)`.
 pub fn hubbard_pcyclic(builder: &BlockBuilder, field: &HsField, spin: Spin) -> BlockPCyclic {
-    BlockPCyclic::new(builder.all_blocks(field, spin))
+    BlockPCyclic::with_inverse_factors(
+        builder.all_blocks(field, spin),
+        builder.inverse_factors(field, spin),
+    )
 }
 
 #[cfg(test)]
@@ -69,6 +75,29 @@ mod tests {
                     fsi_dense::rel_error(&blk, &want) < 1e-9,
                     "({spin:?}, k={k})"
                 );
+            }
+        }
+    }
+
+    /// A Hubbard matrix's block inverses are the builder's analytic ones,
+    /// bit for bit, for both kinetic backends.
+    #[test]
+    fn hubbard_block_inverse_is_the_builders_analytic_inverse() {
+        let params = HubbardParams::paper_validation(5);
+        let lat = SquareLattice::square(3);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+        let field = HsField::random(5, 9, &mut rng);
+        for builder in [
+            BlockBuilder::new(lat.clone(), params.clone()),
+            BlockBuilder::with_checkerboard(lat.clone(), params.clone()),
+        ] {
+            for spin in Spin::BOTH {
+                let pc = hubbard_pcyclic(&builder, &field, spin);
+                for k in 0..5 {
+                    let got = pc.block_inverse(k).expect("analytic");
+                    let want = builder.block_inverse(&field, k, spin);
+                    assert_eq!(got.as_slice(), want.as_slice(), "({spin:?}, k={k})");
+                }
             }
         }
     }

@@ -13,8 +13,10 @@
 //! (the `B`s), while `G` is block-dense — which is exactly why *selected*
 //! inversion matters.
 
-use fsi_dense::{inverse_par, Matrix};
+use fsi_dense::{getrf, inverse_par, DenseError, Matrix};
 use fsi_runtime::Par;
+
+use crate::hubbard::InverseFactors;
 
 /// A block p-cyclic matrix in normal form, stored as its `L` blocks
 /// `b[0..L]`, each `N × N`.
@@ -22,6 +24,9 @@ use fsi_runtime::Par;
 pub struct BlockPCyclic {
     blocks: Vec<Matrix>,
     n: usize,
+    /// Where [`Self::block_inverse`] gets `b[k]⁻¹` from: the analytic
+    /// Hubbard factors when present, a factorization otherwise.
+    inverse: Option<InverseFactors>,
 }
 
 impl BlockPCyclic {
@@ -42,7 +47,34 @@ impl BlockPCyclic {
                 b.cols()
             );
         }
-        BlockPCyclic { blocks, n }
+        BlockPCyclic {
+            blocks,
+            n,
+            inverse: None,
+        }
+    }
+
+    /// Like [`Self::new`], recording the factors of each block's analytic
+    /// inverse (see [`crate::hubbard_pcyclic`]).
+    pub(crate) fn with_inverse_factors(blocks: Vec<Matrix>, inverse: InverseFactors) -> Self {
+        BlockPCyclic {
+            inverse: Some(inverse),
+            ..Self::new(blocks)
+        }
+    }
+
+    /// The inverse `b[k]⁻¹`: analytic in `O(N²)` when the matrix carries
+    /// its Hubbard factors, `getrf` + `getri` otherwise (generic and test
+    /// matrices).
+    ///
+    /// # Errors
+    /// [`DenseError::Singular`] if the factorization meets an exactly zero
+    /// pivot (only possible without the analytic factors).
+    pub fn block_inverse(&self, k: usize) -> Result<Matrix, DenseError> {
+        match &self.inverse {
+            Some(factors) => Ok(factors.inverse(k)),
+            None => Ok(getrf(self.blocks[k].clone())?.inverse()),
+        }
     }
 
     /// Block size `N`.
@@ -230,6 +262,23 @@ mod tests {
     fn bytes_accounting() {
         let pc = random_pcyclic(10, 7, 5);
         assert_eq!(pc.bytes(), 7 * 10 * 10 * 8);
+    }
+
+    #[test]
+    fn block_inverse_is_an_inverse() {
+        let pc = random_pcyclic(4, 3, 6);
+        for k in 0..3 {
+            let mut prod = mul(pc.block(k), &pc.block_inverse(k).expect("nonsingular"));
+            prod.add_diag(-1.0);
+            assert!(prod.max_abs() < 1e-12, "block {k}: {}", prod.max_abs());
+        }
+        let mut blocks = pc.blocks().to_vec();
+        blocks[1].fill_zero();
+        let singular = BlockPCyclic::new(blocks);
+        assert_eq!(
+            singular.block_inverse(1),
+            Err(DenseError::Singular { column: 0 })
+        );
     }
 
     #[test]

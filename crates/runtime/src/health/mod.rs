@@ -182,6 +182,16 @@ pub enum FsiError {
         /// Iterations performed before giving up.
         iterations: usize,
     },
+    /// An input block the stage starts from was not supplied — e.g. a
+    /// wrap seed missing from a selected reduced inverse.
+    MissingBlock {
+        /// Stage that needed the block.
+        stage: Stage,
+        /// Block row index.
+        row: usize,
+        /// Block column index.
+        col: usize,
+    },
 }
 
 impl FsiError {
@@ -189,7 +199,7 @@ impl FsiError {
     pub fn stage(&self) -> Stage {
         match self {
             FsiError::Health(e) => e.stage(),
-            FsiError::NoConvergence { stage, .. } => *stage,
+            FsiError::NoConvergence { stage, .. } | FsiError::MissingBlock { stage, .. } => *stage,
         }
     }
 
@@ -197,7 +207,7 @@ impl FsiError {
     pub fn health_event(&self) -> Option<&HealthEvent> {
         match self {
             FsiError::Health(e) => Some(e),
-            FsiError::NoConvergence { .. } => None,
+            FsiError::NoConvergence { .. } | FsiError::MissingBlock { .. } => None,
         }
     }
 }
@@ -214,6 +224,9 @@ impl fmt::Display for FsiError {
             FsiError::Health(e) => e.fmt(f),
             FsiError::NoConvergence { stage, iterations } => {
                 write!(f, "{stage}: no convergence after {iterations} iterations")
+            }
+            FsiError::MissingBlock { stage, row, col } => {
+                write!(f, "{stage}: input block ({row},{col}) missing")
             }
         }
     }
@@ -458,6 +471,14 @@ mod tests {
         };
         assert_eq!(e.stage(), Stage::Green);
         assert!(e.to_string().contains("8 iterations"));
+        assert!(e.health_event().is_none());
+        let e = FsiError::MissingBlock {
+            stage: Stage::Wrap,
+            row: 1,
+            col: 2,
+        };
+        assert_eq!(e.stage(), Stage::Wrap);
+        assert!(e.to_string().contains("(1,2) missing"));
         assert!(e.health_event().is_none());
     }
 }

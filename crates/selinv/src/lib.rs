@@ -59,5 +59,5 @@ pub use patterns::{Pattern, SelectedInverse, SelectedPattern, Selection};
 pub use stability::{auto_cluster_size, growth_rate, max_stable_cluster};
 pub use tridiag::{random_tridiagonal, BlockTridiagonal, TridiagFactor};
 pub use wrap::{
-    wrap, wrap_all_diagonals, wrap_all_diagonals_selected, wrap_selected, BlockFactors,
+    wrap, wrap_all_diagonals, wrap_all_diagonals_selected, wrap_selected, BlockInverses,
 };

@@ -1,9 +1,9 @@
 //! WRP — the wrapping stage of FSI (paper Alg. 2 and relations (4)–(7)).
 //!
 //! Adjacent blocks of the Green's function satisfy one-step recurrences:
-//! knowing `G(k, ℓ)`, its four neighbours cost one `N × N` product or
-//! solve each. In 0-based torus indices the paper's nine boundary cases
-//! collapse to a uniform rule per direction:
+//! knowing `G(k, ℓ)`, its four neighbours cost one `N × N` product each.
+//! In 0-based torus indices the paper's nine boundary cases collapse to a
+//! uniform rule per direction:
 //!
 //! ```text
 //! down : G(k+1, ℓ) = s·b[k+1]·G(k, ℓ) + [k+1 = ℓ]·I      s = −1 iff k+1 wraps to 0
@@ -24,50 +24,87 @@
 //! the walk halves the length of the recurrence chains, halving the
 //! accumulated floating-point error — the `ablation_wrap_split` bench
 //! quantifies this against a one-directional walk. Seeds are independent;
-//! the stage runs under `parallel_for`. Cost `3(bL − b²)N³`.
+//! the stage runs under `parallel_for`.
 //!
-//! Inverse applications `b[k]⁻¹·X` and `X·b[k]⁻¹` are realized as LU
-//! solves against lazily cached factorizations (one per block, shared by
-//! all seeds via `OnceLock`).
+//! Every step is one `N × N` GEMM, as in the paper's statement of the
+//! relations with `B⁻¹`: each wrap call first builds the inverses
+//! `b[k]⁻¹` its up- and right-steps apply ([`BlockInverses`], in
+//! parallel over blocks), then the walks multiply by them. A Hubbard
+//! matrix supplies `b[k]⁻¹ = diag(e^{−σνh})·e^{−tΔτK}` analytically in
+//! `O(N²)`; a generic matrix pays one `getrf` + `getri` per block it
+//! touches (see [`BlockPCyclic::block_inverse`]). The rows/columns wrap
+//! therefore costs exactly [`wrap_gemm_flops`] `= 2(bL − b²)N³`, against
+//! the paper's `3(bL − b²)N³` model ([`wrap_flops`]).
 
-use std::sync::OnceLock;
-
-use fsi_dense::{getrf, LuFactor, Matrix};
+use fsi_dense::{gemm, Matrix};
 use fsi_pcyclic::BlockPCyclic;
-use fsi_runtime::health::{self, FsiResult, HealthEvent, Stage};
+use fsi_runtime::health::{self, FsiError, FsiResult, HealthEvent, Stage};
+use fsi_runtime::metrics::Meter;
 use fsi_runtime::{Par, Schedule};
 
 use crate::cls::Clustered;
 use crate::patterns::{Pattern, SelectedInverse, Selection};
 
-/// Lazily cached LU factorizations of the `B` blocks, shared across wrap
-/// walks (thread-safe: each cell is computed at most once per block).
-pub struct BlockFactors<'a> {
-    pc: &'a BlockPCyclic,
-    cells: Vec<OnceLock<LuFactor>>,
+/// Always-on meter of the wrapping stage: calls, GEMM flops and busy time
+/// of every wrap entry point.
+static METER: Meter = Meter::new("selinv.wrap");
+
+/// The block inverses `b[k]⁻¹` one wrap call's up- and right-steps apply,
+/// built once per call, in parallel over blocks.
+pub struct BlockInverses {
+    inv: Vec<Option<Matrix>>,
 }
 
-impl<'a> BlockFactors<'a> {
-    /// Creates an empty cache for the matrix's blocks.
-    pub fn new(pc: &'a BlockPCyclic) -> Self {
-        BlockFactors {
-            pc,
-            cells: (0..pc.l()).map(|_| OnceLock::new()).collect(),
+impl BlockInverses {
+    /// Builds `b[k]⁻¹` for every `k` in `blocks` (each distinct block
+    /// once), from [`BlockPCyclic::block_inverse`].
+    ///
+    /// # Errors
+    /// [`HealthEvent::SingularPivot`] at [`Stage::Wrap`] if a block
+    /// without analytic factors is exactly singular.
+    pub fn new(
+        par: Par<'_>,
+        pc: &BlockPCyclic,
+        blocks: impl IntoIterator<Item = usize>,
+    ) -> FsiResult<Self> {
+        let mut inv: Vec<Option<Matrix>> = (0..pc.l()).map(|_| None).collect();
+        let mut wanted = vec![false; pc.l()];
+        for k in blocks {
+            wanted[k] = true;
         }
+        let list: Vec<usize> = (0..pc.l()).filter(|&k| wanted[k]).collect();
+        let built = fsi_runtime::parallel_map(par, list.len(), Schedule::Dynamic(1), |i| {
+            pc.block_inverse(list[i])
+        });
+        for (k, m) in list.into_iter().zip(built) {
+            inv[k] = Some(m.map_err(|e| e.at(Stage::Wrap))?);
+        }
+        Ok(BlockInverses { inv })
     }
 
-    /// The LU factorization of `b[k]`, computing it on first use.
-    pub fn factor(&self, k: usize) -> &LuFactor {
-        self.cells[k].get_or_init(|| {
-            getrf(self.pc.block(k).clone())
-                .expect("Hubbard B blocks are products of nonsingular factors")
-        })
+    /// `b[k]⁻¹`.
+    ///
+    /// # Panics
+    /// Panics if block `k` was not in the set this table was built for.
+    pub fn get(&self, k: usize) -> &Matrix {
+        self.inv[k]
+            .as_ref()
+            .unwrap_or_else(|| panic!("inverse of block {k} was not built"))
     }
+}
 
-    /// Number of factorizations computed so far (test/telemetry hook).
-    pub fn computed(&self) -> usize {
-        self.cells.iter().filter(|c| c.get().is_some()).count()
-    }
+/// `s·X·Y` into a fresh block: the one GEMM of a wrap step.
+fn product(s: f64, x: &Matrix, y: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), y.cols());
+    gemm(Par::Seq, s, x.as_ref(), y.as_ref(), 0.0, out.as_mut());
+    out
+}
+
+/// `G − I`.
+fn minus_identity(g: &Matrix) -> Matrix {
+    let mut shifted = g.clone();
+    shifted.add_diag(-1.0);
+    shifted
 }
 
 /// One step down: from `G(k, ℓ)` to `G(k+1, ℓ)` (relation (5) with all
@@ -84,43 +121,33 @@ pub fn step_down(pc: &BlockPCyclic, g: &Matrix, k: usize, l: usize) -> Matrix {
     out
 }
 
-/// One step up: from `G(k, ℓ)` to `G(k−1, ℓ)` (relation (4)).
-pub fn step_up(
-    _pc: &BlockPCyclic,
-    factors: &BlockFactors<'_>,
-    g: &Matrix,
-    k: usize,
-    l: usize,
-) -> Matrix {
-    let mut rhs = g.clone();
+/// One step up: from `G(k, ℓ)` to `G(k−1, ℓ)` (relation (4)):
+/// `s·b[k]⁻¹·(G − δI)`, one GEMM. `inv` must hold `b[k]⁻¹`.
+pub fn step_up(inv: &BlockInverses, g: &Matrix, k: usize, l: usize) -> Matrix {
+    let s = if k == 0 { -1.0 } else { 1.0 };
     if k == l {
-        rhs.add_diag(-1.0);
+        product(s, inv.get(k), &minus_identity(g))
+    } else {
+        product(s, inv.get(k), g)
     }
-    let mut out = factors.factor(k).solve(&rhs);
-    if k == 0 {
-        out.scale(-1.0);
-    }
-    out
 }
 
-/// One step right: from `G(k, ℓ)` to `G(k, ℓ+1)` (relation (7)).
+/// One step right: from `G(k, ℓ)` to `G(k, ℓ+1)` (relation (7)):
+/// `s·(G − δI)·b[ℓ+1]⁻¹`, one GEMM. `inv` must hold `b[ℓ+1]⁻¹`.
 pub fn step_right(
     pc: &BlockPCyclic,
-    factors: &BlockFactors<'_>,
+    inv: &BlockInverses,
     g: &Matrix,
     k: usize,
     l: usize,
 ) -> Matrix {
     let cnew = pc.down(l);
-    let mut lhs = g.clone();
+    let s = if cnew == 0 { -1.0 } else { 1.0 };
     if k == l {
-        lhs.add_diag(-1.0);
+        product(s, &minus_identity(g), inv.get(cnew))
+    } else {
+        product(s, g, inv.get(cnew))
     }
-    let mut out = factors.factor(cnew).solve_right(&lhs);
-    if cnew == 0 {
-        out.scale(-1.0);
-    }
-    out
 }
 
 /// One step left: from `G(k, ℓ)` to `G(k, ℓ−1)` (relation (6)).
@@ -140,8 +167,12 @@ pub fn step_left(pc: &BlockPCyclic, g: &Matrix, k: usize, l: usize) -> Matrix {
 /// requested selection.
 ///
 /// `g_reduced` is the dense `bN × bN` output of BSOFI on the clustered
-/// matrix. `par` parallelizes over seeds (each seed's walk is a serial
-/// chain; seeds are independent).
+/// matrix. `par` parallelizes the inverse table over blocks and the walks
+/// over seeds (each seed's walk is a serial chain; seeds are independent).
+///
+/// # Errors
+/// A singular block ([`BlockInverses::new`]) or a bad wrapped block
+/// ([`Stage::Wrap`] health probe).
 pub fn wrap(
     par: Par<'_>,
     pc: &BlockPCyclic,
@@ -149,7 +180,7 @@ pub fn wrap(
     g_reduced: &Matrix,
     selection: &Selection,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize, l0: usize| clustered.reduced.dense_block(g_reduced, k0, l0);
+    let seed = |k0: usize, l0: usize| Ok(clustered.reduced.dense_block(g_reduced, k0, l0));
     wrap_with(par, pc, clustered, &seed, selection)
 }
 
@@ -157,9 +188,10 @@ pub fn wrap(
 /// output of [`crate::bsofi_selected`]) instead of the dense `Ḡ` — the
 /// S1/S2 fast path, which never materializes the `bN × bN` inverse.
 ///
-/// # Panics
-/// Panics if a seed block the pattern's walks start from is missing
-/// (diagonal seeds `Ḡ(k₀,k₀)` for S1/S2; all `b²` blocks for S3/S4).
+/// # Errors
+/// As [`wrap`], plus [`FsiError::MissingBlock`] if a seed block the
+/// pattern's walks start from is missing (diagonal seeds `Ḡ(k₀,k₀)` for
+/// S1/S2; all `b²` blocks for S3/S4).
 pub fn wrap_selected(
     par: Par<'_>,
     pc: &BlockPCyclic,
@@ -167,17 +199,19 @@ pub fn wrap_selected(
     seeds: &SelectedInverse,
     selection: &Selection,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize, l0: usize| {
-        seeds
-            .get(k0, l0)
-            .unwrap_or_else(|| panic!("seed block ({k0},{l0}) missing from selected inverse"))
-            .clone()
-    };
+    let seed = |k0: usize, l0: usize| selected_seed(seeds, k0, l0);
     wrap_with(par, pc, clustered, &seed, selection)
 }
 
-/// Shared wrap engine: the seed closure abstracts over where the reduced
-/// inverse blocks come from (dense `Ḡ` vs sparse selected assembly).
+/// Seed `Ḡ(k₀, ℓ₀)` from a sparse reduced inverse.
+fn selected_seed(seeds: &SelectedInverse, k0: usize, l0: usize) -> FsiResult<Matrix> {
+    seeds.get(k0, l0).cloned().ok_or(FsiError::MissingBlock {
+        stage: Stage::Wrap,
+        row: k0,
+        col: l0,
+    })
+}
+
 /// Wrap-stage boundary probe (plus injection hook under `fault-inject`),
 /// fused into block production so it runs while the freshly wrapped block
 /// is still cache-hot instead of as a cold post-pass over the selection.
@@ -189,11 +223,48 @@ fn probe_wrapped(k: usize, mut blk: Matrix) -> Result<Matrix, HealthEvent> {
     Ok(blk)
 }
 
+/// A produced block and its coordinates `(k, ℓ)`.
+type Produced = (usize, usize, Matrix);
+
+/// Walks `steps` steps from `seed` at `from`, pushing each produced block
+/// onto `produced` after its health probe. Each step reads the block the
+/// previous step wrote, so no block is copied.
+fn walk(
+    produced: &mut Vec<Produced>,
+    seed: &Matrix,
+    from: (usize, usize),
+    steps: usize,
+    mut step: impl FnMut(&Matrix, (usize, usize)) -> ((usize, usize), Matrix),
+) -> Result<(), HealthEvent> {
+    let mut at = from;
+    for i in 0..steps {
+        let prev = match produced.last() {
+            Some(last) if i > 0 => &last.2,
+            _ => seed,
+        };
+        let (next, blk) = step(prev, at);
+        produced.push((next.0, next.1, probe_wrapped(next.0, blk)?));
+        at = next;
+    }
+    Ok(())
+}
+
+/// The torus indices `k, k±1, k±2, …` (`+` for `forward`).
+fn orbit(pc: &BlockPCyclic, k: usize, forward: bool) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(Some(k), move |&x| {
+        Some(if forward { pc.down(x) } else { pc.up(x) })
+    })
+}
+
+/// The seed source of the shared wrap engine: dense `Ḡ` or sparse
+/// selected assembly.
+type SeedFn<'a> = dyn Fn(usize, usize) -> FsiResult<Matrix> + Sync + 'a;
+
 fn wrap_with(
     par: Par<'_>,
     pc: &BlockPCyclic,
     clustered: &Clustered,
-    seed: &(dyn Fn(usize, usize) -> Matrix + Sync),
+    seed: &SeedFn<'_>,
     selection: &Selection,
 ) -> FsiResult<SelectedInverse> {
     assert_eq!(
@@ -206,17 +277,39 @@ fn wrap_with(
     );
     let b = clustered.b();
     let c = clustered.c;
-    let factors = BlockFactors::new(pc);
+    // b² seeds walk (c−1) steps split between the two directions to
+    // minimize chain length.
+    let up_steps = c / 2; // ⌈(c−1)/2⌉ for the "before" direction
+    let down_steps = (c - 1) - up_steps;
+    let steps = match selection.pattern {
+        Pattern::Diagonal => 0,
+        Pattern::SubDiagonal => b,
+        Pattern::Columns | Pattern::Rows => b * b * (c - 1),
+    };
+    let _meter =
+        METER.start(steps as u64 * fsi_runtime::flops::counts::gemm(pc.n(), pc.n(), pc.n()));
+    let seeds = || (0..b).map(|k0| clustered.to_original(k0));
+    // The blocks whose inverses the up- and right-steps apply.
+    let touched: Vec<usize> = match selection.pattern {
+        Pattern::Diagonal => Vec::new(),
+        Pattern::SubDiagonal => seeds().map(|k| pc.down(k)).collect(),
+        Pattern::Rows => seeds()
+            .flat_map(|l| orbit(pc, l, true).skip(1).take(down_steps))
+            .collect(),
+        Pattern::Columns => seeds()
+            .flat_map(|k| orbit(pc, k, false).take(up_steps))
+            .collect(),
+    };
+    let inv = BlockInverses::new(par, pc, touched)?;
 
+    let mut out = SelectedInverse::new();
     match selection.pattern {
         Pattern::Diagonal => {
             // S1: the diagonal seeds ARE the selection — no wrapping.
-            let mut out = SelectedInverse::new();
             for k0 in 0..b {
                 let k = clustered.to_original(k0);
-                out.insert(k, k, probe_wrapped(k, seed(k0, k0))?);
+                out.insert(k, k, probe_wrapped(k, seed(k0, k0)?)?);
             }
-            Ok(out)
         }
         Pattern::SubDiagonal => {
             // S2: one right-step from each diagonal seed.
@@ -224,82 +317,59 @@ fn wrap_with(
                 par,
                 b,
                 Schedule::Dynamic(1),
-                |k0| -> Result<(usize, usize, Matrix), HealthEvent> {
+                |k0| -> FsiResult<Produced> {
                     let k = clustered.to_original(k0);
-                    let gkk = seed(k0, k0);
-                    let gk_next = probe_wrapped(k, step_right(pc, &factors, &gkk, k, k))?;
+                    let gkk = seed(k0, k0)?;
+                    let gk_next = probe_wrapped(k, step_right(pc, &inv, &gkk, k, k))?;
                     Ok((k, pc.down(k), gk_next))
                 },
             );
-            let mut out = SelectedInverse::new();
             for r in results {
                 let (k, l, blk) = r?;
                 out.insert(k, l, blk);
             }
-            Ok(out)
         }
         Pattern::Columns | Pattern::Rows => {
             let rows_pattern = selection.pattern == Pattern::Rows;
-            // b² independent seeds; each walks (c−1) steps split between
-            // the two directions to minimize chain length.
-            let up_steps = c / 2; // ⌈(c−1)/2⌉ for the "before" direction
-            let down_steps = (c - 1) - up_steps;
             let results = fsi_runtime::parallel_map(
                 par,
                 b * b,
                 Schedule::Dynamic(1),
-                |s| -> Result<Vec<(usize, usize, Matrix)>, HealthEvent> {
+                |s| -> FsiResult<Vec<Produced>> {
                     let (k0, l0) = (s / b, s % b);
                     let k = clustered.to_original(k0);
                     let l = clustered.to_original(l0);
-                    let mut produced: Vec<(usize, usize, Matrix)> = Vec::with_capacity(c);
-                    let g_seed = seed(k0, l0);
+                    let mut produced = Vec::with_capacity(c);
+                    let g_seed = seed(k0, l0)?;
                     if rows_pattern {
                         // Walk left then right along block row k.
-                        let mut cur = g_seed.clone();
-                        let mut col = l;
-                        for _ in 0..up_steps {
-                            cur = step_left(pc, &cur, k, col);
-                            col = pc.up(col);
-                            produced.push((k, col, probe_wrapped(k, cur.clone())?));
-                        }
-                        let mut cur = g_seed.clone();
-                        let mut col = l;
-                        for _ in 0..down_steps {
-                            cur = step_right(pc, &factors, &cur, k, col);
-                            col = pc.down(col);
-                            produced.push((k, col, probe_wrapped(k, cur.clone())?));
-                        }
+                        walk(&mut produced, &g_seed, (k, l), up_steps, |g, (k, col)| {
+                            ((k, pc.up(col)), step_left(pc, g, k, col))
+                        })?;
+                        walk(&mut produced, &g_seed, (k, l), down_steps, |g, (k, col)| {
+                            ((k, pc.down(col)), step_right(pc, &inv, g, k, col))
+                        })?;
                     } else {
                         // Walk up then down along block column ℓ.
-                        let mut cur = g_seed.clone();
-                        let mut row = k;
-                        for _ in 0..up_steps {
-                            cur = step_up(pc, &factors, &cur, row, l);
-                            row = pc.up(row);
-                            produced.push((row, l, probe_wrapped(row, cur.clone())?));
-                        }
-                        let mut cur = g_seed.clone();
-                        let mut row = k;
-                        for _ in 0..down_steps {
-                            cur = step_down(pc, &cur, row, l);
-                            row = pc.down(row);
-                            produced.push((row, l, probe_wrapped(row, cur.clone())?));
-                        }
+                        walk(&mut produced, &g_seed, (k, l), up_steps, |g, (row, l)| {
+                            ((pc.up(row), l), step_up(&inv, g, row, l))
+                        })?;
+                        walk(&mut produced, &g_seed, (k, l), down_steps, |g, (row, l)| {
+                            ((pc.down(row), l), step_down(pc, g, row, l))
+                        })?;
                     }
                     produced.push((k, l, probe_wrapped(k, g_seed)?));
                     Ok(produced)
                 },
             );
-            let mut out = SelectedInverse::new();
             for chunk in results {
                 for (k, l, blk) in chunk? {
                     out.insert(k, l, blk);
                 }
             }
-            Ok(out)
         }
     }
+    Ok(out)
 }
 
 /// Wraps the diagonal seeds into *all* `L` diagonal blocks of `G` — the
@@ -308,34 +378,33 @@ fn wrap_with(
 ///
 /// Each seed walks the diagonal with composed down+right steps
 /// (`G(k,k) → G(k+1,k) → G(k+1,k+1)`, both proven relations), producing
-/// `c−1` new diagonal blocks per seed at ~4N³ flops each.
+/// `c−1` new diagonal blocks per seed at two GEMMs (`4N³` flops) each.
+///
+/// # Errors
+/// As [`wrap`].
 pub fn wrap_all_diagonals(
     par: Par<'_>,
     pc: &BlockPCyclic,
     clustered: &Clustered,
     g_reduced: &Matrix,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize| clustered.reduced.dense_block(g_reduced, k0, k0);
+    let seed = |k0: usize, _: usize| Ok(clustered.reduced.dense_block(g_reduced, k0, k0));
     wrap_all_diagonals_with(par, pc, clustered, &seed)
 }
 
 /// [`wrap_all_diagonals`] fed from sparse diagonal seeds (the output of
 /// [`crate::bsofi_selected`] with [`crate::SelectedPattern::Diagonals`]).
 ///
-/// # Panics
-/// Panics if a diagonal seed `Ḡ(k₀,k₀)` is missing.
+/// # Errors
+/// As [`wrap`], plus [`FsiError::MissingBlock`] if a diagonal seed
+/// `Ḡ(k₀,k₀)` is missing.
 pub fn wrap_all_diagonals_selected(
     par: Par<'_>,
     pc: &BlockPCyclic,
     clustered: &Clustered,
     seeds: &SelectedInverse,
 ) -> FsiResult<SelectedInverse> {
-    let seed = |k0: usize| {
-        seeds
-            .get(k0, k0)
-            .unwrap_or_else(|| panic!("diagonal seed ({k0},{k0}) missing from selected inverse"))
-            .clone()
-    };
+    let seed = |k0: usize, l0: usize| selected_seed(seeds, k0, l0);
     wrap_all_diagonals_with(par, pc, clustered, &seed)
 }
 
@@ -343,34 +412,43 @@ fn wrap_all_diagonals_with(
     par: Par<'_>,
     pc: &BlockPCyclic,
     clustered: &Clustered,
-    seed: &(dyn Fn(usize) -> Matrix + Sync),
+    seed: &SeedFn<'_>,
 ) -> FsiResult<SelectedInverse> {
     let b = clustered.b();
     let c = clustered.c;
-    let factors = BlockFactors::new(pc);
+    let gemms = 2 * b * (c - 1);
+    let _meter =
+        METER.start(gemms as u64 * fsi_runtime::flops::counts::gemm(pc.n(), pc.n(), pc.n()));
+    let inv = BlockInverses::new(
+        par,
+        pc,
+        (0..b).flat_map(|k0| {
+            orbit(pc, clustered.to_original(k0), true)
+                .skip(1)
+                .take(c - 1)
+        }),
+    )?;
     let results = fsi_runtime::parallel_map(
         par,
         b,
         Schedule::Dynamic(1),
-        |k0| -> Result<Vec<(usize, Matrix)>, HealthEvent> {
-            let mut produced = Vec::with_capacity(c);
+        |k0| -> FsiResult<Vec<Produced>> {
             let k = clustered.to_original(k0);
-            let mut cur = seed(k0);
-            produced.push((k, probe_wrapped(k, cur.clone())?));
-            let mut row = k;
-            for _ in 0..c - 1 {
-                let below = step_down(pc, &cur, row, row);
-                cur = step_right(pc, &factors, &below, pc.down(row), row);
-                row = pc.down(row);
-                produced.push((row, probe_wrapped(row, cur.clone())?));
-            }
+            let g_seed = probe_wrapped(k, seed(k0, k0)?)?;
+            let mut produced = Vec::with_capacity(c);
+            walk(&mut produced, &g_seed, (k, k), c - 1, |g, (row, _)| {
+                let below = step_down(pc, g, row, row);
+                let next = pc.down(row);
+                ((next, next), step_right(pc, &inv, &below, next, row))
+            })?;
+            produced.push((k, k, g_seed));
             Ok(produced)
         },
     );
     let mut out = SelectedInverse::new();
     for chunk in results {
-        for (k, blk) in chunk? {
-            out.insert(k, k, blk);
+        for (k, l, blk) in chunk? {
+            out.insert(k, l, blk);
         }
     }
     Ok(out)
@@ -383,20 +461,33 @@ pub fn wrap_flops(n: usize, l: usize, c: usize) -> u64 {
     3 * (b * l as u64 - b * b) * (n as u64).pow(3)
 }
 
+/// Exact flop count of the columns/rows wrap as implemented:
+/// `2(bL − b²)N³` — `b²` seeds × `(c−1)` steps × one `N × N` GEMM. The
+/// paper's [`wrap_flops`] is 3/2 of it because it prices each step at
+/// `3N³`, a product plus `N³` for applying `B⁻¹`; with the analytic
+/// `B⁻¹` that application is the product itself.
+pub fn wrap_gemm_flops(n: usize, l: usize, c: usize) -> u64 {
+    let b = (l / c) as u64;
+    2 * (b * l as u64 - b * b) * (n as u64).pow(3)
+}
+
 /// Exercises every relation against a dense reference — used by tests and
 /// the validation binary. Returns the maximum relative error over all
 /// steps from all `(k, ℓ)` source blocks.
+///
+/// # Panics
+/// Panics if a block of `pc` is exactly singular.
 pub fn max_relation_error(pc: &BlockPCyclic, g_dense: &Matrix) -> f64 {
     let l = pc.l();
-    let factors = BlockFactors::new(pc);
+    let inv = BlockInverses::new(Par::Seq, pc, 0..l).expect("nonsingular blocks");
     let mut worst = 0.0f64;
     for k in 0..l {
         for j in 0..l {
             let g = pc.dense_block(g_dense, k, j);
             let checks = [
                 (pc.down(k), j, step_down(pc, &g, k, j)),
-                (pc.up(k), j, step_up(pc, &factors, &g, k, j)),
-                (k, pc.down(j), step_right(pc, &factors, &g, k, j)),
+                (pc.up(k), j, step_up(&inv, &g, k, j)),
+                (k, pc.down(j), step_right(pc, &inv, &g, k, j)),
                 (k, pc.up(j), step_left(pc, &g, k, j)),
             ];
             for (kk, jj, got) in checks {
@@ -438,17 +529,6 @@ mod tests {
         let pc = hubbard_pcyclic(&builder, &field, fsi_pcyclic::Spin::Down);
         let g = pc.reference_green(Par::Seq);
         assert!(max_relation_error(&pc, &g) < 1e-8);
-    }
-
-    #[test]
-    fn factors_are_computed_lazily_and_once() {
-        let pc = random_pcyclic(3, 8, 22);
-        let f = BlockFactors::new(&pc);
-        assert_eq!(f.computed(), 0);
-        let _ = f.factor(3);
-        let _ = f.factor(3);
-        let _ = f.factor(5);
-        assert_eq!(f.computed(), 2);
     }
 
     fn check_selection(pattern: Pattern, n: usize, l: usize, c: usize, q: usize, tol: f64) {
@@ -512,9 +592,11 @@ mod tests {
         let seq = wrap(Par::Seq, &pc, &clustered, &g_red, &sel).expect("healthy");
         let par = wrap(Par::Pool(&pool), &pc, &clustered, &g_red, &sel).expect("healthy");
         assert_eq!(seq.len(), par.len());
+        // Each seed's walk is a fixed serial chain of the same GEMMs, so
+        // the thread count cannot change a single bit.
         for (coord, blk) in seq.iter() {
             let other = par.get(coord.0, coord.1).expect("same coords");
-            assert!(rel_error(blk, other) < 1e-15);
+            assert_eq!(blk.as_slice(), other.as_slice(), "{coord:?}");
         }
     }
 
@@ -570,18 +652,176 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing from selected inverse")]
-    fn selected_wrap_panics_on_missing_seed() {
+    fn selected_wrap_reports_a_missing_seed() {
         let pc = random_pcyclic(2, 8, 32);
         let clustered = cls(Par::Seq, Par::Seq, &pc, 4, 0);
         let empty = SelectedInverse::new();
-        let sel = Selection::new(Pattern::Diagonal, 4, 0);
-        let _ = wrap_selected(Par::Seq, &pc, &clustered, &empty, &sel);
+        let missing = FsiError::MissingBlock {
+            stage: Stage::Wrap,
+            row: 0,
+            col: 0,
+        };
+        for pattern in Pattern::ALL {
+            let sel = Selection::new(pattern, 4, 0);
+            let err = wrap_selected(Par::Seq, &pc, &clustered, &empty, &sel).unwrap_err();
+            assert_eq!(err, missing, "{pattern:?}");
+        }
+        let err = wrap_all_diagonals_selected(Par::Seq, &pc, &clustered, &empty).unwrap_err();
+        assert_eq!(err, missing);
+    }
+
+    #[test]
+    fn singular_block_is_a_wrap_health_error() {
+        let (l, c, q) = (8, 4, 1);
+        let pc = random_pcyclic(3, l, 33);
+        let clustered = cls(Par::Seq, Par::Seq, &pc, c, q);
+        let g_red = crate::bsofi::bsofi(Par::Seq, Par::Seq, &clustered.reduced);
+        // The rows walks right-step from each seed column ℓ through
+        // b[ℓ+1]⁻¹: zero the first column of one of those blocks.
+        let hit = pc.down(clustered.to_original(0));
+        let mut blocks = pc.blocks().to_vec();
+        blocks[hit].view_mut(0, 0, 3, 1).fill(0.0);
+        let singular = BlockPCyclic::new(blocks);
+        let sel = Selection::new(Pattern::Rows, c, q);
+        let err = wrap(Par::Seq, &singular, &clustered, &g_red, &sel).unwrap_err();
+        assert_eq!(
+            err,
+            FsiError::Health(HealthEvent::SingularPivot {
+                stage: Stage::Wrap,
+                column: 0
+            })
+        );
+    }
+
+    /// Hubbard matrices from both kinetic backends: the wraps through the
+    /// analytic `B⁻¹` match the same blocks rebuilt without their inverse
+    /// factors (the `getri` source) to 1e-12, and the dense reference at
+    /// the tolerances of the generic tests above.
+    #[test]
+    fn analytic_and_getri_inverses_agree() {
+        use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, HsField, HubbardParams, SquareLattice};
+        use rand::SeedableRng;
+        let (l, c, q) = (12, 4, 1);
+        let lat = SquareLattice::new(3, 2);
+        let params = HubbardParams::paper_validation(l);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(34);
+        let field = HsField::random(l, 6, &mut rng);
+        for builder in [
+            BlockBuilder::new(lat.clone(), params.clone()),
+            BlockBuilder::with_checkerboard(lat.clone(), params.clone()),
+        ] {
+            let analytic = hubbard_pcyclic(&builder, &field, fsi_pcyclic::Spin::Up);
+            let getri = BlockPCyclic::new(analytic.blocks().to_vec());
+            let g_ref = analytic.reference_green(Par::Seq);
+            let clustered = cls(Par::Seq, Par::Seq, &analytic, c, q);
+            let g_red = crate::bsofi::bsofi(Par::Seq, Par::Seq, &clustered.reduced);
+            let mut runs: Vec<(String, f64, SelectedInverse, SelectedInverse)> = Pattern::ALL
+                .iter()
+                .map(|&pattern| {
+                    let sel = Selection::new(pattern, c, q);
+                    let tol = match pattern {
+                        Pattern::Diagonal | Pattern::SubDiagonal => 1e-8,
+                        Pattern::Columns | Pattern::Rows => 1e-7,
+                    };
+                    let run = |pc| wrap(Par::Seq, pc, &clustered, &g_red, &sel).expect("healthy");
+                    (format!("{pattern:?}"), tol, run(&analytic), run(&getri))
+                })
+                .collect();
+            let run = |pc| wrap_all_diagonals(Par::Seq, pc, &clustered, &g_red).expect("healthy");
+            runs.push(("all diagonals".into(), 1e-7, run(&analytic), run(&getri)));
+            for (name, tol, fast, slow) in runs {
+                assert_eq!(fast.len(), slow.len(), "{name}");
+                for (&(k, j), blk) in fast.iter() {
+                    let other = slow.get(k, j).expect("same coords");
+                    let err = rel_error(blk, other);
+                    assert!(err < 1e-12, "{name} ({k},{j}) analytic vs getri {err}");
+                    let err = rel_error(blk, &analytic.dense_block(&g_ref, k, j));
+                    assert!(err < tol, "{name} ({k},{j}) vs reference {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hubbard_rows_wrap_runs_on_gemm_alone() {
+        use fsi_runtime::trace::{self, RunReport};
+        use fsi_runtime::TraceLevel;
+        let _lock = trace::test_lock();
+        let (n, l, c, q) = (4, 16, 4, 2);
+        let pc = fsi_pcyclic::hubbard_pcyclic(
+            &fsi_pcyclic::BlockBuilder::new(
+                fsi_pcyclic::SquareLattice::square(2),
+                fsi_pcyclic::HubbardParams::paper_validation(l),
+            ),
+            &fsi_pcyclic::HsField::ones(l, n),
+            fsi_pcyclic::Spin::Up,
+        );
+        let clustered = cls(Par::Seq, Par::Seq, &pc, c, q);
+        let g_red = crate::bsofi::bsofi(Par::Seq, Par::Seq, &clustered.reduced);
+        let sel = Selection::new(Pattern::Rows, c, q);
+        trace::set_level(TraceLevel::Kernels);
+        trace::clear();
+        let span = trace::span("wrap.kernel_probe");
+        wrap(Par::Seq, &pc, &clustered, &g_red, &sel).expect("healthy");
+        drop(span);
+        let report = RunReport::capture("wrap-kernels");
+        trace::set_level(TraceLevel::Off);
+        trace::clear();
+        // Concurrent tests may trace their own kernels: look only at the
+        // children of this test's span.
+        let probe = report
+            .spans
+            .iter()
+            .find(|r| r.name == "wrap.kernel_probe")
+            .expect("probe span recorded");
+        let kernels: Vec<&str> = report
+            .spans
+            .iter()
+            .filter(|r| r.parent == Some(probe.id))
+            .map(|r| r.name.as_str())
+            .collect();
+        let b = l / c;
+        assert_eq!(kernels, vec!["gemm"; b * b * (c - 1)]);
+        assert_eq!(probe.flops, wrap_gemm_flops(n, l, c));
+    }
+
+    #[test]
+    fn every_entry_point_charges_the_wrap_meter() {
+        use crate::patterns::SelectedPattern;
+        let (n, l, c, q) = (3, 8, 4, 1);
+        let pc = random_pcyclic(n, l, 35);
+        let clustered = cls(Par::Seq, Par::Seq, &pc, c, q);
+        let g_red = crate::bsofi::bsofi(Par::Seq, Par::Seq, &clustered.reduced);
+        let seeds = crate::bsofi::bsofi_selected(
+            Par::Seq,
+            Par::Seq,
+            &clustered.reduced,
+            &SelectedPattern::Diagonals,
+        )
+        .expect("healthy");
+        let before = fsi_runtime::metrics::snapshot();
+        let rows = Selection::new(Pattern::Rows, c, q);
+        let sub = Selection::new(Pattern::SubDiagonal, c, q);
+        wrap(Par::Seq, &pc, &clustered, &g_red, &rows).expect("healthy");
+        wrap_selected(Par::Seq, &pc, &clustered, &seeds, &sub).expect("healthy");
+        wrap_all_diagonals(Par::Seq, &pc, &clustered, &g_red).expect("healthy");
+        wrap_all_diagonals_selected(Par::Seq, &pc, &clustered, &seeds).expect("healthy");
+        let delta = fsi_runtime::metrics::snapshot().delta_since(&before);
+        // Other tests may wrap concurrently, so these are lower bounds.
+        let b = (l / c) as u64;
+        let gemm = fsi_runtime::flops::counts::gemm(n, n, n);
+        let want = wrap_gemm_flops(n, l, c) + b * gemm + 2 * 2 * b * (c as u64 - 1) * gemm;
+        assert!(delta.counter("selinv.wrap.calls") >= 4);
+        assert!(delta.counter("selinv.wrap.flops") >= want);
     }
 
     #[test]
     fn wrap_flop_formula() {
         // 3(bL − b²)N³ for (N, L, c) = (10, 100, 10): b = 10.
         assert_eq!(wrap_flops(10, 100, 10), 3 * (1000 - 100) * 1000);
+        assert_eq!(
+            2 * wrap_flops(10, 100, 10),
+            3 * wrap_gemm_flops(10, 100, 10)
+        );
     }
 }
