@@ -78,6 +78,12 @@ if [[ $quick -eq 0 ]]; then
   echo "== cargo test (perfbench workspace) =="
   cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
+  # fig9 smoke lane: the only non-test run of the multi-matrix driver
+  # besides the hybrid_multi_green example. fig9 asserts identical
+  # physics and nonzero span flops for every ranks×threads split.
+  echo "== fig9 smoke (run_multi, span flop attribution) =="
+  cargo run --release --offline -p fsi-bench --bin fig9 -- matrices=8 cores=4
+
   # Non-gating: record kernel throughput (results/BENCH_kernels.json is
   # informational; timing noise must never fail the gate).
   echo "== bench smoke (non-gating) =="

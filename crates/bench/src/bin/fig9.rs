@@ -11,7 +11,7 @@
 //!    the best feasible configuration is a hybrid split;
 //! 3. throughput varies mildly across feasible hybrid splits.
 //!
-//! Locally we run a scaled-down sweep on in-process ranks and print the
+//! Locally we run a scaled-down sweep on worker-thread ranks and print the
 //! paper-scale feasibility matrix from the Edison memory model.
 
 use fsi_bench::{banner, init_trace, lattice_side_for, Args};
@@ -56,13 +56,16 @@ fn main() {
             c,
             pattern: Pattern::Columns,
             seed: 2400,
-            scheduling: fsi_selinv::Scheduling::WorkStealing,
         };
         // The span context propagates into the rank threads, so the
         // span's flop total covers all ranks of this split.
         let span = fsi_runtime::trace::span("multi");
         let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
         let stats = span.finish();
+        assert!(
+            stats.flops > 0,
+            "{ranks}x{threads}: no flops reached the span"
+        );
         let rate = stats.flops as f64 / r.seconds / 1e9;
         println!(
             "{:>8} {:>10} {:>12.3} {:>12.2} {:>16.6}",

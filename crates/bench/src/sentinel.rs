@@ -618,7 +618,7 @@ mod tests {
             by("p99_queue_wait_ms").unwrap().policy,
             Policy::LowerBetter { .. }
         ));
-        // Scheduling-luck counters stay informational.
+        // Counters that depend on steal timing stay informational.
         assert!(by("steals").is_none());
         assert!(by("rejected").is_none());
     }

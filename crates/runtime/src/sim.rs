@@ -1,4 +1,4 @@
-//! Scheduling simulator for thread-scaling experiments on constrained hosts.
+//! List-scheduling simulator for thread-scaling experiments on constrained hosts.
 //!
 //! The paper's scaling figures (Fig. 8 bottom, Fig. 11) were measured on a
 //! 12-core Ivy Bridge socket. When the reproduction host exposes fewer

@@ -6,27 +6,21 @@
 //! generates the Hubbard–Stratonovich field parameters `h` (cheap to ship,
 //! unlike the matrices), each rank builds its matrices locally and runs
 //! the OpenMP FSI per matrix, and local measurement quantities are
-//! combined with `MPI_Reduce`. This module reproduces that loop on the
-//! in-process ranks of [`fsi_runtime::comm`], with the per-matrix stage
-//! loop factored into a resumable [`MatrixTask`] state machine
-//! ([`JobStep`]) that schedulers can interleave.
+//! combined with `MPI_Reduce`. [`run_multi`] reproduces that loop in one
+//! process: each rank is a worker thread with its own thread pool (the
+//! OpenMP level). The workers' deques ([`fsi_runtime::StealQueues`]) are
+//! seeded with Alg. 3's block distribution — `matrices / ranks`
+//! consecutive matrices each — and an idle worker steals half of the
+//! fullest backlog, so uneven per-matrix cost cannot strand a worker idle.
+//! The `fsi-service` crate builds its multi-tenant job queue on the same
+//! shape. The per-matrix stage loop is a resumable [`MatrixTask`] state
+//! machine ([`JobStep`]) that schedulers can interleave.
 //!
-//! Two [`Scheduling`] disciplines drive the same task machinery:
-//!
-//! * [`Scheduling::Static`] is the paper-literal Alg. 3 — a block scatter
-//!   fixed at submit time, one in-process rank per share, collectives for
-//!   the reduction.
-//! * [`Scheduling::WorkStealing`] (the default) seeds the same block
-//!   distribution into per-worker deques ([`fsi_runtime::StealQueues`])
-//!   and lets idle workers steal half of the fullest victim's backlog —
-//!   the shape the `fsi-service` crate builds its multi-tenant job queue
-//!   on.
-//!
-//! Both disciplines produce **bitwise-identical** results for the same
-//! `(seed, matrices, c, pattern)`: fields come from one root RNG stream
-//! in matrix order, each matrix's shift `q` is derived from
-//! `(seed, index)` alone (never from the rank that happens to run it),
-//! and measurement vectors are summed in matrix-index order.
+//! Results are **bitwise-identical** for any rank count and steal order
+//! given the same `(seed, matrices, c, pattern)`: fields come from one
+//! root RNG stream in matrix order, each matrix's shift `q` is derived
+//! from `(seed, index)` alone (never from the worker that happens to run
+//! it), and measurement vectors are summed in matrix-index order.
 //!
 //! The memory model captures why the paper's Fig. 9 favors the hybrid
 //! configuration: a rank must hold its matrix, the reduced inverse `Ḡ`,
@@ -49,30 +43,18 @@ use std::sync::Mutex;
 use fsi_pcyclic::{hubbard_pcyclic, BlockBuilder, BlockPCyclic, HsField, Spin};
 use fsi_runtime::ckpt::{CkptError, Reader as CkptReader, Writer as CkptWriter};
 use fsi_runtime::health::{FsiError, FsiResult};
-use fsi_runtime::{comm, StealQueues, Stopwatch, ThreadPool};
+use fsi_runtime::{trace, StealQueues, Stopwatch, ThreadPool};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::fsi::{FsiOutput, Parallelism};
 use crate::patterns::{Pattern, SelectedInverse, Selection};
 
-/// How a multi-matrix run distributes matrices over workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduling {
-    /// The paper-literal Alg. 3: a block scatter fixed at submit time,
-    /// executed on in-process ranks with collectives.
-    Static,
-    /// Per-worker deques with steal-half rebalancing
-    /// ([`fsi_runtime::StealQueues`]); tolerates heterogeneous per-matrix
-    /// cost without stranding workers idle.
-    #[default]
-    WorkStealing,
-}
-
 /// Configuration of a multi-matrix FSI run.
 #[derive(Clone, Debug)]
 pub struct MultiConfig {
-    /// Number of message-passing ranks (MPI processes).
+    /// Number of ranks (Alg. 3's MPI processes): worker threads whose
+    /// deques are seeded with the block distribution of the matrices.
     pub ranks: usize,
     /// OpenMP-style threads per rank.
     pub threads_per_rank: usize,
@@ -84,8 +66,6 @@ pub struct MultiConfig {
     pub pattern: Pattern,
     /// RNG seed for field generation and the per-matrix shift `q`.
     pub seed: u64,
-    /// Task distribution discipline.
-    pub scheduling: Scheduling,
 }
 
 /// Result of a multi-matrix run.
@@ -318,8 +298,8 @@ impl JobStep {
 /// pure deterministic functions of `(field, c, pattern, seed, index)`,
 /// so a task parked at [`JobStep::Invert`] or [`JobStep::Measure`]
 /// snapshots as [`JobStep::Build`] and recomputes the intermediates on
-/// resume — bitwise identically, by the same argument that makes the
-/// static and stealing schedules agree. Only a [`JobStep::Done`] task
+/// resume — bitwise identically, by the same argument that makes results
+/// independent of the rank count. Only a [`JobStep::Done`] task
 /// carries its measurement vector, so a resumed scheduler never re-runs
 /// finished work.
 #[derive(Clone, Debug, PartialEq)]
@@ -423,7 +403,7 @@ impl MatrixTask {
 /// randomly").
 ///
 /// Derived from `(seed, index, c)` only — *not* from the rank or worker
-/// executing the matrix — so static and work-stealing schedules produce
+/// executing the matrix — so every rank count and steal order produces
 /// bitwise-identical selected inversions.
 pub fn shift_for(seed: u64, index: usize, c: usize) -> usize {
     let mix = seed ^ 0x9E37 ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -432,7 +412,7 @@ pub fn shift_for(seed: u64, index: usize, c: usize) -> usize {
 
 /// Generates the HS fields for a run: one [`ChaCha8Rng`] stream seeded by
 /// `seed`, drawn in matrix order — the root-side generation of Alg. 3,
-/// shared by both scheduling paths and the `fsi-service` job runner.
+/// shared by [`run_multi`] and the `fsi-service` job runner.
 pub fn generate_fields(l: usize, n: usize, matrices: usize, seed: u64) -> Vec<HsField> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..matrices)
@@ -441,9 +421,9 @@ pub fn generate_fields(l: usize, n: usize, matrices: usize, seed: u64) -> Vec<Hs
 }
 
 /// Sums per-matrix measurement vectors in matrix-index order, so the
-/// global reduction is bitwise-reproducible across rank counts and
-/// scheduling disciplines (float addition is not associative; fixing the
-/// order fixes the sum).
+/// global reduction is bitwise-reproducible across rank counts and steal
+/// orders (float addition is not associative; fixing the order fixes the
+/// sum).
 fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
     pairs.sort_by_key(|(i, _)| *i);
     let mut acc: Vec<f64> = Vec::new();
@@ -460,17 +440,18 @@ fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
     acc
 }
 
-/// Runs Alg. 3: distribute fields over workers, per-worker FSI over the
-/// local share of matrices, reduce measurement vectors in matrix order.
+/// Runs Alg. 3: seed each rank's deque with its block of matrices, run
+/// FSI per matrix (idle ranks steal), reduce measurement vectors in
+/// matrix order.
 ///
 /// The spin is fixed to [`Spin::Up`]; DQMC proper (both spins, Metropolis
 /// dynamics) lives in the `fsi-dqmc` crate — this driver is the
-/// performance harness of the paper's §V-B. The scheduling discipline is
-/// chosen by [`MultiConfig::scheduling`]; both disciplines give the same
-/// bits for the same seed (see the module docs).
+/// performance harness of the paper's §V-B. Every rank count gives the
+/// same bits for the same seed (see the module docs). The ranks run under
+/// the caller's trace span, so its flop total covers every matrix.
 ///
 /// ```
-/// use fsi_selinv::{run_multi, trace_measure, MultiConfig, Pattern, Scheduling};
+/// use fsi_selinv::{run_multi, trace_measure, MultiConfig, Pattern};
 /// use fsi_pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 ///
 /// let builder = BlockBuilder::new(
@@ -484,7 +465,6 @@ fn ordered_sum(mut pairs: Vec<(usize, Vec<f64>)>) -> Vec<f64> {
 ///     c: 4,
 ///     pattern: Pattern::Diagonal,
 ///     seed: 1,
-///     scheduling: Scheduling::WorkStealing,
 /// };
 /// let result = run_multi(&builder, &cfg, &trace_measure).unwrap();
 /// // One diagonal selection per cluster: 3 matrices × (L/c = 2) blocks.
@@ -502,143 +482,75 @@ pub fn run_multi(
 ) -> FsiResult<MultiResult> {
     assert!(cfg.ranks > 0 && cfg.threads_per_rank > 0 && cfg.matrices > 0);
     let sw = Stopwatch::start();
-    let pairs = match cfg.scheduling {
-        Scheduling::Static => run_static(builder, cfg, measure)?,
-        Scheduling::WorkStealing => run_stealing(builder, cfg, measure)?,
-    };
-    Ok(MultiResult {
-        global_measurements: ordered_sum(pairs),
-        seconds: sw.seconds(),
-        matrices: cfg.matrices,
-    })
-}
-
-/// The paper-literal path: root generates and scatters fields, each rank
-/// runs its block share, per-matrix vectors are gathered at the root.
-fn run_static(
-    builder: &BlockBuilder,
-    cfg: &MultiConfig,
-    measure: &MeasureFn,
-) -> FsiResult<Vec<(usize, Vec<f64>)>> {
     let l = builder.params().l;
     let n = builder.lattice().n_sites();
-    let results = comm::run(cfg.ranks, |rank| {
-        // Root generates all HS fields (as flat ±1 vectors) and scatters
-        // each rank its share, mirroring MPI_Scatter of `h`.
-        let shares: Option<Vec<Vec<Vec<i8>>>> = rank.is_root().then(|| {
-            let fields = generate_fields(l, n, cfg.matrices, cfg.seed);
-            let mut shares: Vec<Vec<Vec<i8>>> = vec![Vec::new(); rank.size()];
-            for (m, field) in fields.iter().enumerate() {
-                shares[owner_of(m, cfg.matrices, rank.size())].push(field.to_flat());
-            }
-            shares
-        });
-        let my_fields: Vec<Vec<i8>> = rank.scatter(shares, 1);
-        let my_range = comm::block_range(cfg.matrices, rank.size(), rank.id());
-
-        // Per-rank pool = the OpenMP level of the hybrid model.
-        let pool = ThreadPool::new(cfg.threads_per_rank);
-        let par = if cfg.threads_per_rank == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::OpenMp(&pool)
-        };
-        let mut local: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut failure: Option<(usize, FsiError)> = None;
-        for (index, flat) in my_range.zip(&my_fields) {
-            let field = HsField::from_flat(l, n, flat);
-            let mut task = MatrixTask::new(index, field, cfg.c, cfg.pattern, cfg.seed);
-            // A failed inversion must not skip the collectives below (all
-            // ranks participate or none return), so park the error.
-            match task.run(par, builder, measure) {
-                Ok(()) => local.push(task.into_quantities()),
-                Err(e) => {
-                    failure = Some((index, e));
-                    break;
-                }
-            }
-        }
-        // Gather per-matrix vectors at the root (the paper's MPI_Reduce;
-        // we reduce in matrix order on the root for bitwise stability).
-        let gathered = rank.gather(local, 2);
-        let failures = rank.gather(failure, 3);
-        gathered.zip(failures)
-    });
-    let root = results.into_iter().next().flatten();
-    let (gathered, failures) = root.expect("root holds the gathers");
-    if let Some((_, e)) = failures.into_iter().flatten().min_by_key(|(i, _)| *i) {
-        return Err(e);
-    }
-    Ok(gathered.into_iter().flatten().collect())
-}
-
-/// The work-stealing path: the same block distribution seeds per-worker
-/// deques, idle workers steal half of the fullest backlog.
-fn run_stealing(
-    builder: &BlockBuilder,
-    cfg: &MultiConfig,
-    measure: &MeasureFn,
-) -> FsiResult<Vec<(usize, Vec<f64>)>> {
-    let l = builder.params().l;
-    let n = builder.lattice().n_sites();
-    let fields = generate_fields(l, n, cfg.matrices, cfg.seed);
+    let mut fields = generate_fields(l, n, cfg.matrices, cfg.seed).into_iter();
     let queues = StealQueues::new(cfg.ranks);
-    for (m, field) in fields.into_iter().enumerate() {
-        let task = MatrixTask::new(m, field, cfg.c, cfg.pattern, cfg.seed);
-        queues.push(owner_of(m, cfg.matrices, cfg.ranks), task);
+    for w in 0..cfg.ranks {
+        for (m, field) in block_range(cfg.matrices, cfg.ranks, w).zip(&mut fields) {
+            queues.push(w, MatrixTask::new(m, field, cfg.c, cfg.pattern, cfg.seed));
+        }
     }
     queues.close(); // batch run: drain and exit
 
+    let ctx = trace::current_context();
     let abort = AtomicBool::new(false);
     let failure: Mutex<Option<(usize, FsiError)>> = Mutex::new(None);
     let done: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for w in 0..cfg.ranks {
+            let ctx = ctx.clone();
             let queues = &queues;
             let abort = &abort;
             let failure = &failure;
             let done = &done;
             s.spawn(move || {
-                let pool = ThreadPool::new(cfg.threads_per_rank);
-                let par = if cfg.threads_per_rank == 1 {
-                    Parallelism::Serial
-                } else {
-                    Parallelism::OpenMp(&pool)
-                };
-                while let Some(mut task) = queues.acquire(w) {
-                    if abort.load(Ordering::Acquire) {
-                        continue; // drain without processing
-                    }
-                    match task.run(par, builder, measure) {
-                        Ok(()) => done.lock().unwrap().push(task.into_quantities()),
-                        Err(e) => {
-                            let mut slot = failure.lock().unwrap();
-                            // Keep the lowest-index failure for
-                            // deterministic error surfacing.
-                            if slot.as_ref().is_none_or(|(i, _)| task.index() < *i) {
-                                *slot = Some((task.index(), e));
+                trace::with_context(ctx, || {
+                    let pool = ThreadPool::new(cfg.threads_per_rank);
+                    let par = if cfg.threads_per_rank == 1 {
+                        Parallelism::Serial
+                    } else {
+                        Parallelism::OpenMp(&pool)
+                    };
+                    while let Some(mut task) = queues.acquire(w) {
+                        if abort.load(Ordering::Acquire) {
+                            continue; // drain without processing
+                        }
+                        match task.run(par, builder, measure) {
+                            Ok(()) => done.lock().unwrap().push(task.into_quantities()),
+                            Err(e) => {
+                                let mut slot = failure.lock().unwrap();
+                                // Keep the lowest-index failure for
+                                // deterministic error surfacing.
+                                if slot.as_ref().is_none_or(|(i, _)| task.index() < *i) {
+                                    *slot = Some((task.index(), e));
+                                }
+                                abort.store(true, Ordering::Release);
                             }
-                            abort.store(true, Ordering::Release);
                         }
                     }
-                }
+                })
             });
         }
     });
     if let Some((_, e)) = failure.into_inner().unwrap() {
         return Err(e);
     }
-    Ok(done.into_inner().unwrap())
+    Ok(MultiResult {
+        global_measurements: ordered_sum(done.into_inner().unwrap()),
+        seconds: sw.seconds(),
+        matrices: cfg.matrices,
+    })
 }
 
-/// Which rank owns matrix `m` under the block distribution.
-fn owner_of(m: usize, total: usize, ranks: usize) -> usize {
-    for r in 0..ranks {
-        if comm::block_range(total, ranks, r).contains(&m) {
-            return r;
-        }
-    }
-    unreachable!("matrix {m} of {total} not owned by any of {ranks} ranks")
+/// Splits `n` matrices across `ranks` as evenly as possible and returns
+/// the half-open range owned by `rank` — the block distribution the paper
+/// uses for `m_per_MPI = m / num_MPI_process`.
+fn block_range(n: usize, ranks: usize, rank: usize) -> std::ops::Range<usize> {
+    let base = n / ranks;
+    let extra = n % ranks;
+    let lo = rank * base + rank.min(extra);
+    lo..lo + base + usize::from(rank < extra)
 }
 
 /// A simple default measurement: `[Σ tr G(k,k), #blocks]` over the
@@ -676,7 +588,9 @@ pub fn per_rank_bytes(n: usize, l: usize, c: usize, pattern: Pattern) -> u64 {
     let reduced_blocks = b * n * n * f;
     let g_reduced = (b * n) * (b * n) * f;
     let selected = pattern.n_blocks(l as usize, c) as u64 * n * n * f;
-    // LU factor cache for the wrapping stage plus per-thread scratch.
+    // Wrapping-stage intermediates (budgeted at a quarter of the input)
+    // plus per-thread scratch. Service admission sizes jobs with this
+    // formula, so it stays as calibrated.
     let workspace = l * n * n * f / 4 + 16 * n * n * f;
     input + reduced_blocks + g_reduced + selected + workspace
 }
@@ -729,6 +643,7 @@ impl MemoryModel {
 mod tests {
     use super::*;
     use fsi_pcyclic::{HubbardParams, SquareLattice};
+    use proptest::prelude::*;
 
     fn small_builder() -> BlockBuilder {
         BlockBuilder::new(SquareLattice::square(2), HubbardParams::paper_validation(8))
@@ -742,7 +657,6 @@ mod tests {
             c: 4,
             pattern: Pattern::Diagonal,
             seed: 42,
-            scheduling: Scheduling::WorkStealing,
         }
     }
 
@@ -754,20 +668,6 @@ mod tests {
         // Block-count channel: 7 matrices × b=2 diagonal blocks.
         assert_eq!(result.global_measurements[1], 14.0);
         assert!(result.global_measurements[0].is_finite());
-    }
-
-    #[test]
-    fn scheduling_disciplines_are_bitwise_identical() {
-        let builder = small_builder();
-        let mut cfg = base_cfg();
-        cfg.scheduling = Scheduling::Static;
-        let stat = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-        cfg.scheduling = Scheduling::WorkStealing;
-        let steal = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-        assert_eq!(
-            stat.global_measurements, steal.global_measurements,
-            "static vs stealing must agree to the bit"
-        );
     }
 
     #[test]
@@ -784,18 +684,15 @@ mod tests {
         };
         let r1 = run_multi(&builder, &base, &trace_measure).expect("healthy");
         for ranks in [2usize, 5] {
-            for scheduling in [Scheduling::Static, Scheduling::WorkStealing] {
-                let cfg = MultiConfig {
-                    ranks,
-                    scheduling,
-                    ..base.clone()
-                };
-                let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
-                assert_eq!(
-                    r1.global_measurements, r.global_measurements,
-                    "ranks={ranks} {scheduling:?}"
-                );
-            }
+            let cfg = MultiConfig {
+                ranks,
+                ..base.clone()
+            };
+            let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
+            assert_eq!(
+                r1.global_measurements, r.global_measurements,
+                "ranks={ranks}"
+            );
         }
     }
 
@@ -809,7 +706,6 @@ mod tests {
             c: 4,
             pattern: Pattern::Columns,
             seed: 9,
-            scheduling: Scheduling::Static,
         };
         let cfg2 = MultiConfig {
             threads_per_rank: 2,
@@ -963,15 +859,46 @@ mod tests {
     }
 
     #[test]
-    fn owner_covers_all_matrices() {
-        for total in [1usize, 7, 24] {
-            for ranks in [1usize, 3, 5] {
-                let mut counts = vec![0usize; ranks];
-                for m in 0..total {
-                    counts[owner_of(m, total, ranks)] += 1;
-                }
-                assert_eq!(counts.iter().sum::<usize>(), total);
+    fn run_multi_charges_flops_to_the_calling_span() {
+        // The rank threads inherit the caller's span, so the span's flop
+        // total covers every matrix whichever rank ran it.
+        use fsi_runtime::TraceLevel;
+        let _lock = trace::test_lock();
+        let builder = small_builder();
+        trace::set_level(TraceLevel::Stages);
+        let flops: Vec<u64> = [1usize, 3]
+            .into_iter()
+            .map(|ranks| {
+                let span = trace::span("multi.flop_probe");
+                let cfg = MultiConfig {
+                    ranks,
+                    ..base_cfg()
+                };
+                run_multi(&builder, &cfg, &trace_measure).expect("healthy");
+                span.finish().flops
+            })
+            .collect();
+        trace::set_level(TraceLevel::Off);
+        trace::clear();
+        assert!(flops.iter().all(|&f| f > 0), "ranks 1, 3 charged {flops:?}");
+        assert_eq!(flops[0], flops[1], "ranks=3 must charge what ranks=1 does");
+    }
+
+    proptest! {
+        /// The block distribution partitions `0..n` exactly and
+        /// contiguously, with sizes differing by at most one.
+        #[test]
+        fn block_range_partitions(n in 0usize..1000, ranks in 1usize..17) {
+            let ranges: Vec<_> = (0..ranks).map(|r| block_range(n, ranks, r)).collect();
+            let mut next = 0;
+            for range in &ranges {
+                prop_assert_eq!(range.start, next);
+                next = range.end;
             }
+            prop_assert_eq!(next, n);
+            let max = ranges.iter().map(|r| r.len()).max().unwrap();
+            let min = ranges.iter().map(|r| r.len()).min().unwrap();
+            prop_assert!(max - min <= 1);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The hybrid ranks×threads application of FSI to many Green's functions
-//! (paper Alg. 3 / Fig. 9): scatter HS fields from the root rank, run FSI
-//! per matrix under each rank's thread pool, reduce measurement
-//! quantities — plus the Edison memory model that decides which
-//! configurations are feasible at paper scale.
+//! (paper Alg. 3 / Fig. 9): generate HS fields at the root, hand each rank
+//! its block of matrices, run FSI per matrix under each rank's thread
+//! pool, reduce measurement quantities — plus the Edison memory model
+//! that decides which configurations are feasible at paper scale.
 //!
 //! Run with: `cargo run --release --example hybrid_multi_green`
 
@@ -28,7 +28,6 @@ fn main() {
             c: 4,
             pattern: Pattern::Columns,
             seed: 99,
-            scheduling: fsi::selinv::Scheduling::WorkStealing,
         };
         let r = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
         println!(

@@ -1,13 +1,12 @@
 //! Service-tier properties: work-stealing execution is bitwise-equal to
-//! the paper-literal static scatter, saturated-queue admission rejects
-//! with a reason instead of deadlocking, and (under `fault-inject`) a
-//! fault-injected job degrades alone while its neighbors' outputs stay
-//! bitwise-identical.
+//! a direct per-matrix reference and to the Alg. 3 driver,
+//! saturated-queue admission rejects with a reason instead of
+//! deadlocking, and (under `fault-inject`) a fault-injected job degrades
+//! alone while its neighbors' outputs stay bitwise-identical.
 
 use fsi::pcyclic::{BlockBuilder, HubbardParams, SquareLattice};
 use fsi::selinv::{
     generate_fields, run_multi, trace_measure, MatrixTask, MultiConfig, Parallelism, Pattern,
-    Scheduling,
 };
 use fsi::service::{AdmitError, JobSpec, Service, ServiceConfig};
 use proptest::prelude::*;
@@ -59,12 +58,12 @@ fn service_bins_match_static_scatter_bitwise() {
         for (sweep, quantities) in &outcome.bins {
             assert_eq!(
                 quantities, &reference[*sweep],
-                "workers={workers} sweep={sweep}: stealing must match the static reference bitwise"
+                "workers={workers} sweep={sweep}: stealing must match the serial reference bitwise"
             );
         }
     }
 
-    // And the paper-literal Alg. 3 driver agrees on the ordered sum.
+    // And the Alg. 3 driver agrees on the ordered sum.
     let builder = BlockBuilder::new(
         SquareLattice::square(SIDE),
         HubbardParams::paper_validation(L),
@@ -76,7 +75,6 @@ fn service_bins_match_static_scatter_bitwise() {
         c: C,
         pattern: Pattern::Diagonal,
         seed: job_spec.seed,
-        scheduling: Scheduling::Static,
     };
     let multi = run_multi(&builder, &cfg, &trace_measure).expect("healthy");
     let mut summed = vec![0.0; multi.global_measurements.len()];
